@@ -93,8 +93,10 @@ val to_json_line : ts:int -> t -> string
     textually. *)
 
 val of_json_line : string -> (int * t) option
-(** Parse a line produced by {!to_json_line}; [None] on anything
-    malformed. *)
+(** Parse a line produced by {!to_json_line}. Accepts exactly that
+    canonical form (no trailing newline) and returns [None] on anything
+    else: other key orders, whitespace, trailing bytes, numbers
+    [string_of_int] would not print, or values out of range. *)
 
 (** {2 Binary encoding}
 
