@@ -72,11 +72,7 @@ type node = {
   nid : int;
   is_host : bool;
   ports : port array;
-  (* Maps a packet to the egress port index; only used on switches.
-     Fallback for custom topologies — the builders in [Topology]
-     install a flat [fwd] table instead. *)
-  mutable route : Packet.t -> int;
-  mutable fwd : fwd option;
+  mutable fwd : fwd;  (* read only on switches *)
 }
 
 type t = {
@@ -94,8 +90,6 @@ type t = {
   mutable undeliverable : int;
 }
 
-let no_route (_ : Packet.t) = invalid_arg "Net: route not installed"
-
 (* Hosts are node ids (< 2^20 by the [create] check); flows take the
    high bits, so the packing is injective. *)
 let max_nodes = 1 lsl 20
@@ -110,7 +104,7 @@ let make_port ~owner ~pix ~rate ~delay qcfg =
     fault_drops = 0 }
 
 let make_node ~nid ~is_host ports =
-  { nid; is_host; ports; route = no_route; fwd = None }
+  { nid; is_host; ports; fwd = { base = [||]; cand = [||]; sel = Sel_flow } }
 
 let sim t = t.sim
 let node t nid = t.nodes.(nid)
@@ -345,13 +339,9 @@ and receive t nid (p : Packet.t) =
       Packet.release p
     end
   end else begin
-    let pix =
-      match node.fwd with
-      | Some f ->
-        let b = f.base.(p.dst) in
-        if b >= 0 then b else f.cand.(select t.sim f p)
-      | None -> node.route p
-    in
+    let f = node.fwd in
+    let b = f.base.(p.dst) in
+    let pix = if b >= 0 then b else f.cand.(select t.sim f p) in
     send_on_port t node.ports.(pix) p
   end
 
@@ -360,6 +350,8 @@ let create sim ?(collect_int = false) nodes =
     invalid_arg "Net.create: too many nodes";
   Array.iteri (fun i n ->
       if n.nid <> i then invalid_arg "Net.create: node ids must be dense";
+      if not n.is_host && Array.length n.fwd.base = 0 then
+        invalid_arg "Net.create: switch without a forwarding table";
       Array.iter (fun p ->
           if p.peer < 0 || p.peer >= Array.length nodes then
             invalid_arg "Net.create: unconnected port")

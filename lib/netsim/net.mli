@@ -76,10 +76,9 @@ type node = {
   nid : int;
   is_host : bool;
   ports : port array;
-  mutable route : Packet.t -> int;
-  (** Fallback routing closure for custom topologies; consulted only
-      when [fwd] is [None]. *)
-  mutable fwd : fwd option;
+  mutable fwd : fwd;
+  (** Empty after {!make_node}; a switch must get its table before
+      {!create}. Hosts never read theirs. *)
 }
 
 type t
@@ -91,7 +90,8 @@ val make_port :
 val make_node : nid:int -> is_host:bool -> port array -> node
 
 val create : Sim.t -> ?collect_int:bool -> node array -> t
-(** Node ids must equal their array index and every port must be wired.
+(** Node ids must equal their array index, every port must be wired and
+    every switch must have a forwarding table.
     [collect_int] makes switches stamp HPCC inband telemetry on data
     packets. *)
 

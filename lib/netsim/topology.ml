@@ -68,8 +68,8 @@ let star ?collect_int ~sim ~n_hosts ~rate ~delay ~qcfg () =
   in
   let switch = Net.make_node ~nid:switch_id ~is_host:false switch_ports in
   switch.Net.fwd <-
-    Some { Net.base = Array.init n_hosts Fun.id; cand = [||];
-           sel = Net.Sel_flow };
+    { Net.base = Array.init n_hosts Fun.id; cand = [||];
+      sel = Net.Sel_flow };
   let net = Net.create sim ?collect_int (Array.append hosts [| switch |]) in
   { net;
     hosts = Array.init n_hosts Fun.id;
@@ -123,12 +123,12 @@ let leaf_spine ?collect_int ?(routing = Per_flow) ~sim ~hosts_per_leaf
            uplinks. Each leaf gets its own selector (flowlet memory is
            per-node). *)
         node.Net.fwd <-
-          Some { Net.base =
-                   Array.init n_hosts (fun d ->
-                       if leaf_of_host d = l then d mod hosts_per_leaf
-                       else -1);
-                 cand = Array.init n_spine (fun s -> hosts_per_leaf + s);
-                 sel = selector_of_routing routing };
+          { Net.base =
+              Array.init n_hosts (fun d ->
+                  if leaf_of_host d = l then d mod hosts_per_leaf
+                  else -1);
+            cand = Array.init n_spine (fun s -> hosts_per_leaf + s);
+            sel = selector_of_routing routing };
         node)
   in
   let spines =
@@ -145,8 +145,8 @@ let leaf_spine ?collect_int ?(routing = Per_flow) ~sim ~hosts_per_leaf
         in
         let node = Net.make_node ~nid ~is_host:false down in
         node.Net.fwd <-
-          Some { Net.base = Array.init n_hosts leaf_of_host; cand = [||];
-                 sel = Net.Sel_flow };
+          { Net.base = Array.init n_hosts leaf_of_host; cand = [||];
+            sel = Net.Sel_flow };
         node)
   in
   let nodes = Array.concat [ hosts; leaves; spines ] in

@@ -509,6 +509,31 @@ let test_undeliverable_counted () =
   check Alcotest.int "unregistered flow counted" 1
     (Net.undeliverable topo.Topology.net)
 
+(* A switch needs a forwarding table before the network is built, so
+   a missing one fails at [Net.create], not at the first packet. *)
+let test_switch_needs_fwd () =
+  let port ~owner ~pix ~peer =
+    let p =
+      Net.make_port ~owner ~pix ~rate:(Units.gbps 10) ~delay:(Units.us 1)
+        (Prio_queue.default_config ~buffer_bytes:(Units.kb 100))
+    in
+    p.Net.peer <- peer;
+    p
+  in
+  let nodes () =
+    [| Net.make_node ~nid:0 ~is_host:true [| port ~owner:0 ~pix:0 ~peer:2 |];
+       Net.make_node ~nid:1 ~is_host:true [| port ~owner:1 ~pix:0 ~peer:2 |];
+       Net.make_node ~nid:2 ~is_host:false
+         [| port ~owner:2 ~pix:0 ~peer:0; port ~owner:2 ~pix:1 ~peer:1 |] |]
+  in
+  Alcotest.check_raises "switch without a table"
+    (Invalid_argument "Net.create: switch without a forwarding table")
+    (fun () -> ignore (Net.create (Sim.create ()) (nodes ())));
+  let ns = nodes () in
+  ns.(2).Net.fwd <- { Net.base = [| 0; 1 |]; cand = [||]; sel = Net.Sel_flow };
+  let net = Net.create (Sim.create ()) ns in
+  check Alcotest.int "with a table it builds" 3 (Net.n_nodes net)
+
 let leaf_spine () =
   let sim = Sim.create () in
   let topo =
@@ -648,6 +673,8 @@ let suite =
       test_serialization_timing;
     Alcotest.test_case "net: undeliverable counted" `Quick
       test_undeliverable_counted;
+    Alcotest.test_case "net: switch needs a forwarding table" `Quick
+      test_switch_needs_fwd;
     Alcotest.test_case "topo: leaf-spine shape" `Quick test_leaf_spine_shape;
     Alcotest.test_case "topo: cross-rack" `Quick test_leaf_spine_cross_rack;
     Alcotest.test_case "topo: same-rack" `Quick test_leaf_spine_same_rack;
