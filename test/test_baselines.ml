@@ -315,6 +315,92 @@ let test_ppt_swift_uses_lcp () =
   check Alcotest.bool "lcp carried bytes over swift" true
     (r.Ppt_stats.Fct.lcp_payload > 0)
 
+(* --- pinned traces ------------------------------------------------------ *)
+
+(* One short seeded run per transport, pinned by the MD5 of its JSONL
+   trace and its event count: any change to either is a behaviour
+   change. Four senders contend for one receiver behind a lossy last
+   hop, so every run walks its transport's recovery path (data
+   retransmissions) and its own control packets. *)
+let pinned_specs =
+  [ (0, 4, 120_000, 0); (1, 4, 90_000, 0); (2, 4, 60_000, 20_000);
+    (3, 4, 30_000, 40_000) ]
+
+let pinned_run ?qcfg factory =
+  let _sim, topo, ctx = Helpers.star ~n:5 ?qcfg () in
+  let spec =
+    match Ppt_faults.Fault_spec.of_string "loss=0.05@0ms-1ms:tohost:4" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  Ppt_faults.Injector.install ~net:topo.Topology.net
+    ~hosts:topo.Topology.hosts ~to_host_port:topo.Topology.to_host_port
+    ~seed:1 spec;
+  let t = factory ctx in
+  let buf = Buffer.create (1 lsl 20) in
+  let events = ref [] in
+  Ppt_obs.Trace.with_sink
+    (fun ts ev ->
+       Buffer.add_string buf (Ppt_obs.Event.to_json_line ~ts ev);
+       Buffer.add_char buf '\n';
+       events := ev :: !events)
+    (fun () -> Helpers.run_flows ctx t pinned_specs);
+  check Alcotest.int "all flows complete" (List.length pinned_specs)
+    (Ppt_stats.Fct.count ctx.Context.fct);
+  let retrans =
+    List.fold_left (fun acc r -> acc + r.Ppt_stats.Fct.retrans) 0
+      (Ppt_stats.Fct.records ctx.Context.fct)
+  in
+  (Digest.to_hex (Digest.string (Buffer.contents buf)),
+   List.length !events, retrans, !events)
+
+let enqueued kind events =
+  List.length
+    (List.filter
+       (function
+         | Ppt_obs.Event.Enqueue { kind = k; _ } -> k = kind
+         | _ -> false)
+       events)
+
+let trims events =
+  List.length
+    (List.filter (function Ppt_obs.Event.Trim _ -> true | _ -> false)
+       events)
+
+let test_pinned_traces () =
+  let cases =
+    [ ("homa", Homa.make (), None,
+       ("005f113fef32309fbf7f182fb30cbe45", 2940),
+       fun ev -> [ ("grants", enqueued 'G' ev) ]);
+      ("aeolus", Homa.make_aeolus (), None,
+       ("dc022ec89abb828a0c8e838c837e07ad", 3531),
+       fun ev -> [ ("grants", enqueued 'G' ev) ]);
+      ("ndp", Ndp.make (), Some (ndp_qcfg ()),
+       ("4611271c392c0ae82bcc41ca14696b57", 1760),
+       fun ev -> [ ("trims", trims ev); ("nacks", enqueued 'N' ev) ]);
+      ("expresspass", Expresspass.make (), None,
+       ("0bd4f39f8875aa950c2c77f1c34e9d51", 2075),
+       fun ev -> [ ("credits", enqueued 'P' ev) ]);
+      ("dctcp", Dctcp.make (), None,
+       ("521514c857b27ba3934d742b7160b57e", 2039),
+       fun ev -> [ ("acks", enqueued 'A' ev) ]);
+      ("ppt", Ppt_core.Ppt.make (), None,
+       ("f40291e8b5bcd540e744b924241e9fcf", 1979),
+       fun ev -> [ ("acks", enqueued 'A' ev) ]) ]
+  in
+  List.iter
+    (fun (name, factory, qcfg, (md5, count), control) ->
+       let got_md5, got_count, retrans, events = pinned_run ?qcfg factory in
+       check Alcotest.bool (name ^ ": retransmits") true (retrans > 0);
+       List.iter
+         (fun (what, n) ->
+            check Alcotest.bool (Printf.sprintf "%s: sends %s" name what)
+              true (n > 0))
+         (control events);
+       check Alcotest.int (name ^ ": trace event count") count got_count;
+       check Alcotest.string (name ^ ": trace md5") md5 got_md5)
+    cases
+
 let suite =
   [ Alcotest.test_case "rc3: completes" `Quick
       (test_completion "rc3" (Rc3.make ()));
@@ -364,4 +450,6 @@ let suite =
       test_ppt_hpcc_completes_and_fills;
     Alcotest.test_case "ppt-swift: completes" `Quick test_ppt_swift_completes;
     Alcotest.test_case "ppt-swift: lcp carries bytes" `Quick
-      test_ppt_swift_uses_lcp ]
+      test_ppt_swift_uses_lcp;
+    Alcotest.test_case "pinned traces: recovery paths" `Quick
+      test_pinned_traces ]
