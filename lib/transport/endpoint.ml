@@ -14,6 +14,19 @@ type transport = {
 
 type factory = Context.t -> transport
 
+(* The only place a flow's packet handlers enter or leave the fabric:
+   [on_sender] runs at the source host, [on_receiver] at the
+   destination. *)
+let attach ctx flow ~on_sender ~on_receiver =
+  let net = ctx.Context.net in
+  Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id on_sender;
+  Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id on_receiver
+
+let detach ctx flow =
+  let net = ctx.Context.net in
+  Net.unregister net ~host:flow.Flow.src ~flow:flow.Flow.id;
+  Net.unregister net ~host:flow.Flow.dst ~flow:flow.Flow.id
+
 (* Standard wiring for window-based (sender-driven) transports.
 
    [setup] attaches congestion control (and, for PPT, the LCP loop) to
@@ -23,20 +36,19 @@ let launch_window_flow ctx ~params ~rcv_cfg ~setup flow =
   let snd = Reliable.create ctx flow params in
   let rcv = Receiver.create ctx flow rcv_cfg in
   let teardown_extra = setup snd rcv in
-  let net = ctx.Context.net in
-  Net.register net ~host:flow.Flow.src ~flow:flow.Flow.id (fun p ->
-      match p.Packet.kind with
-      | Packet.Ack -> Reliable.on_ack snd p
-      | Packet.Data | Packet.Grant | Packet.Pull | Packet.Nack
-      | Packet.Ctrl -> ());
-  Net.register net ~host:flow.Flow.dst ~flow:flow.Flow.id (fun p ->
-      match p.Packet.kind with
-      | Packet.Data -> Receiver.on_data rcv p
-      | Packet.Ack | Packet.Grant | Packet.Pull | Packet.Nack
-      | Packet.Ctrl -> ());
+  attach ctx flow
+    ~on_sender:(fun p ->
+        match p.Packet.kind with
+        | Packet.Ack -> Reliable.on_ack snd p
+        | Packet.Data | Packet.Grant | Packet.Pull | Packet.Nack
+        | Packet.Ctrl -> ())
+    ~on_receiver:(fun p ->
+        match p.Packet.kind with
+        | Packet.Data -> Receiver.on_data rcv p
+        | Packet.Ack | Packet.Grant | Packet.Pull | Packet.Nack
+        | Packet.Ctrl -> ());
   rcv.Receiver.on_done <- (fun () ->
       Reliable.shutdown snd;
       teardown_extra ();
-      Net.unregister net ~host:flow.Flow.src ~flow:flow.Flow.id;
-      Net.unregister net ~host:flow.Flow.dst ~flow:flow.Flow.id);
+      detach ctx flow);
   Reliable.start snd

@@ -8,6 +8,16 @@ type transport = {
 
 type factory = Context.t -> transport
 
+val attach :
+  Context.t -> Flow.t ->
+  on_sender:(Ppt_netsim.Packet.t -> unit) ->
+  on_receiver:(Ppt_netsim.Packet.t -> unit) -> unit
+(** Register the flow's packet handlers at its source and destination
+    hosts. The only way a transport hooks into the fabric. *)
+
+val detach : Context.t -> Flow.t -> unit
+(** Unregister both handlers [attach] installed. *)
+
 val launch_window_flow :
   Context.t ->
   params:Reliable.params ->

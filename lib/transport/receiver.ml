@@ -25,9 +25,7 @@ type t = {
   ctx : Context.t;
   flow : Flow.t;
   cfg : config;
-  bitmap : Bytes.t;
-  mutable received : int;
-  mutable cum : int;                    (* in-order segments from 0 *)
+  rx : Reassembly.t;
   mutable lcp_pending : int;            (* LCP data since last LCP ack *)
   mutable lcp_sacks : int list;
   mutable lcp_ece : bool;
@@ -38,32 +36,17 @@ type t = {
 
 let create ctx flow cfg =
   { ctx; flow; cfg;
-    bitmap = Bytes.make flow.Flow.nseg '\000';
-    received = 0; cum = 0;
+    rx = Reassembly.create flow.Flow.nseg;
     lcp_pending = 0; lcp_sacks = []; lcp_ece = false; lcp_last_prio = 7;
     done_fired = false; on_done = ignore }
-
-let complete t = t.received = t.flow.Flow.nseg
-let received t = t.received
-let cum t = t.cum
-
-let mark t seq =
-  if seq < 0 || seq >= t.flow.Flow.nseg then false
-  else if Bytes.get t.bitmap seq = '\001' then false
-  else begin
-    Bytes.set t.bitmap seq '\001';
-    t.received <- t.received + 1;
-    while t.cum < t.flow.Flow.nseg && Bytes.get t.bitmap t.cum = '\001' do
-      t.cum <- t.cum + 1
-    done;
-    true
-  end
 
 (* [tel_from] echoes the data packet's inband telemetry: it is copied
    into the ack packet's own snapshot buffer (the data packet is
    released by the fabric as soon as [on_data] returns). *)
 let send_ack t ?tel_from ~sacks ~ece ~data_tx ~loop ~prio () =
-  let meta = Wire.Ack_meta { cum = t.cum; sacks; ece; data_tx } in
+  let meta =
+    Wire.Ack_meta { cum = t.rx.Reassembly.cum; sacks; ece; data_tx }
+  in
   let pkt =
     Packet.make ~prio ~loop ~meta ~flow:t.flow.Flow.id
       ~src:t.flow.Flow.dst ~dst:t.flow.Flow.src Packet.Ack
@@ -74,7 +57,7 @@ let send_ack t ?tel_from ~sacks ~ece ~data_tx ~loop ~prio () =
   Net.send t.ctx.Context.net pkt
 
 let fire_done t =
-  if (not t.done_fired) && complete t then begin
+  if (not t.done_fired) && Reassembly.complete t.rx then begin
     t.done_fired <- true;
     Context.flow_finished t.ctx t.flow;
     t.on_done ()
@@ -100,7 +83,7 @@ let flush_lcp t =
 let on_data t (p : Packet.t) =
   Context.count_op t.ctx t.flow.Flow.dst;
   if not p.trimmed then begin
-    let newly = mark t p.seq in
+    let newly = Reassembly.mark t.rx p.seq in
     if newly then begin
       match p.loop with
       | Packet.H ->
@@ -127,5 +110,5 @@ let on_data t (p : Packet.t) =
       (* Completion must not wait for a batch partner that will never
          arrive: if this LCP packet finished the flow, ack and finish
          immediately. *)
-      if complete t then begin flush_lcp t; fire_done t end
+      if Reassembly.complete t.rx then begin flush_lcp t; fire_done t end
   end

@@ -20,9 +20,7 @@ type t = {
   ctx : Context.t;
   flow : Flow.t;
   cfg : config;
-  bitmap : Bytes.t;
-  mutable received : int;
-  mutable cum : int;
+  rx : Reassembly.t;
   mutable lcp_pending : int;
   mutable lcp_sacks : int list;
   mutable lcp_ece : bool;
@@ -32,7 +30,4 @@ type t = {
 }
 
 val create : Context.t -> Flow.t -> config -> t
-val complete : t -> bool
-val received : t -> int
-val cum : t -> int
 val on_data : t -> Packet.t -> unit
