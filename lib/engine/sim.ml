@@ -39,17 +39,22 @@ let st_cancelled = 2
    instead of forcing callers to close over it: packet arrivals are
    scheduled once per transmitted packet, and the inline argument
    turns a closure + timer pair into a single timer allocation. The
-   argument is stored untyped; [schedule1] is the only constructor
-   that pairs a non-unit callback with its argument, so the
-   [Obj.magic] cannot be observed at a wrong type. *)
-type timer = {
-  mutable state : int;
-  key : Units.time;      (* absolute fire time *)
-  tie : int;             (* insertion sequence number *)
-  fire : Obj.t -> unit;
-  arg : Obj.t;
-  cancels : int ref;     (* owning sim's cancelled-and-queued counter *)
-}
+   argument's type is existential: each timer pairs a callback with an
+   argument of the same type, checked where the timer is built, and
+   the constructor with its inline record is still one block. *)
+type timer =
+  | T : {
+      mutable state : int;
+      key : Units.time;      (* absolute fire time *)
+      tie : int;             (* insertion sequence number *)
+      fire : 'a -> unit;
+      arg : 'a;
+      cancels : int ref;     (* owning sim's cancelled-and-queued counter *)
+    } -> timer
+
+let key (T r) = r.key
+let tie (T r) = r.tie
+let live (T r) = r.state = st_pending
 
 (* Bucket geometry: 256 buckets of 1.024us cover ~262us, comfortably
    past the per-hop timer horizon of a 10-400G fabric while keeping
@@ -64,8 +69,8 @@ let wheel_span = n_buckets * bucket_width
 let compact_min = 1024
 
 let dummy_timer =
-  { state = st_fired; key = 0; tie = 0; fire = ignore; arg = Obj.repr ();
-    cancels = ref 0 }
+  T { state = st_fired; key = 0; tie = 0; fire = ignore; arg = ();
+      cancels = ref 0 }
 
 type t = {
   mutable now : Units.time;
@@ -110,7 +115,7 @@ let cancelled_pending t = !(t.cancels)
 let compactions t = t.compaction_runs
 
 let bucket_push t tm =
-  let b = (tm.key lsr log_bucket) land bucket_mask in
+  let b = (key tm lsr log_bucket) land bucket_mask in
   let arr = t.bkt.(b) in
   let len = t.bkt_len.(b) in
   let arr =
@@ -127,11 +132,10 @@ let bucket_push t tm =
   t.wheel_count <- t.wheel_count + 1
 
 let insert t tm =
-  if tm.key < t.cur_hi then Heap.push t.cur ~key:tm.key ~tie:tm.tie tm
-  else if tm.key < t.wheel_end then bucket_push t tm
-  else Heap.push t.overflow ~key:tm.key ~tie:tm.tie tm
-
-let live tm = tm.state = st_pending
+  let k = key tm in
+  if k < t.cur_hi then Heap.push t.cur ~key:k ~tie:(tie tm) tm
+  else if k < t.wheel_end then bucket_push t tm
+  else Heap.push t.overflow ~key:k ~tie:(tie tm) tm
 
 (* Drop every cancelled timer still queued. Survivors keep their
    (key, tie) ordering, so pop order is unaffected. *)
@@ -160,15 +164,14 @@ let schedule1_at : 'a. t -> Units.time -> ('a -> unit) -> 'a -> timer =
     compact t;
   t.tie <- t.tie + 1;
   let tm =
-    { state = st_pending; key = at; tie = t.tie;
-      fire = (Obj.magic fire : Obj.t -> unit); arg = Obj.repr arg;
-      cancels = t.cancels }
+    T { state = st_pending; key = at; tie = t.tie; fire; arg;
+        cancels = t.cancels }
   in
   insert t tm;
   tm
 
-(* A [unit -> unit] callback goes through the same untyped slot with
-   the unit value as its stored argument. *)
+(* A [unit -> unit] callback is stored with the unit value as its
+   argument. *)
 let schedule_at t at (fire : unit -> unit) = schedule1_at t at fire ()
 
 let schedule t ~after fire =
@@ -179,10 +182,10 @@ let schedule1 t ~after fire arg =
   assert (after >= 0);
   schedule1_at t (t.now + after) fire arg
 
-let cancel tm =
-  if tm.state = st_pending then begin
-    tm.state <- st_cancelled;
-    incr tm.cancels
+let cancel (T r) =
+  if r.state = st_pending then begin
+    r.state <- st_cancelled;
+    incr r.cancels
   end
 
 let stop t = t.running <- false
@@ -209,7 +212,7 @@ let rec refill t =
         let arr = t.bkt.(b) in
         for i = 0 to len - 1 do
           let tm = arr.(i) in
-          Heap.push t.cur ~key:tm.key ~tie:tm.tie tm;
+          Heap.push t.cur ~key:(key tm) ~tie:(tie tm) tm;
           arr.(i) <- dummy_timer
         done;
         t.bkt_len.(b) <- 0;
@@ -245,15 +248,16 @@ let run ?until ?(max_events = max_int) t =
              a later [run] call. *)
           t.now <- horizon
         else begin
-          let tm = Heap.pop_exn t.cur in
-          if tm.state = st_pending then begin
-            t.now <- at;
-            tm.state <- st_fired;
-            t.processed <- t.processed + 1;
-            tm.fire tm.arg
-          end else
-            (* a dead timer leaves the queue *)
-            decr t.cancels;
+          (match Heap.pop_exn t.cur with
+           | T r ->
+             if r.state = st_pending then begin
+               t.now <- at;
+               r.state <- st_fired;
+               t.processed <- t.processed + 1;
+               r.fire r.arg
+             end else
+               (* a dead timer leaves the queue *)
+               decr t.cancels);
           loop ()
         end
       end
