@@ -1,8 +1,9 @@
 (* The low-priority control loop (LCP), §3 of the paper.
 
-   LCP rides on an HCP (DCTCP) sender and opportunistically transmits
-   segments from the tail of the send queue at low in-network priority,
-   to fill the spare bandwidth the primary loop leaves behind.
+   LCP rides on an HCP sender (DCTCP, or any primary loop that reports
+   spare bandwidth) and opportunistically transmits segments from the
+   tail of the send queue at low in-network priority, to fill the spare
+   bandwidth the primary loop leaves behind.
 
    Intermittent loop initialization (§3.1):
    - case 1 (startup): a loop opens when the flow starts — delayed to
@@ -28,22 +29,15 @@ let log_src = Logs.Src.create "ppt.lcp" ~doc:"PPT low-priority control loop"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type params = {
-  ewd : bool;
-  (* false = Fig. 16 ablation: blast the initial window at line rate
-     and keep the ACK-clocked rate constant instead of halving *)
-  delay_large_to_2nd_rtt : bool;
-  idle_rtts : int;            (* loop termination threshold (2) *)
-}
-
-let default_params =
-  { ewd = true; delay_large_to_2nd_rtt = true; idle_rtts = 2 }
+let idle_rtts = 2   (* loop termination threshold *)
 
 type t = {
   ctx : Context.t;
   snd : Reliable.t;
   view : Dctcp.view;
-  p : params;
+  ewd : bool;
+  (* false = Fig. 16 ablation: blast the initial window at line rate
+     and keep the ACK-clocked rate constant instead of halving *)
   identified_large : bool;
   mutable opened : bool;
   mutable tail_ptr : int;          (* next tail pick strictly below *)
@@ -115,7 +109,7 @@ let send_one t =
 let watchdog_tick t =
   t.watchdog <- None;
   if t.opened && not t.shut then begin
-    let idle_limit = t.p.idle_rtts * rtt t in
+    let idle_limit = idle_rtts * rtt t in
     if now t - t.last_activity > idle_limit then close_loop t
     else
       t.watchdog <-
@@ -149,7 +143,7 @@ let rec pace_tick t =
       t.last_activity <- now t;
       t.pace_remaining <- t.pace_remaining - sent;
       if t.pace_remaining > 0 then begin
-        if t.p.ewd then begin
+        if t.ewd then begin
           let interval =
             pace_interval ~rtt:(rtt t) ~sent ~window:t.pace_window
           in
@@ -163,9 +157,9 @@ let rec pace_tick t =
     (* tail exhausted: stay open, the watchdog will close the loop *)
   end
 
-let create ctx snd view ?(params = default_params) ~identified_large () =
+let create ctx snd view ?(ewd = true) ~identified_large () =
   let t =
-    { ctx; snd; view; p = params; identified_large;
+    { ctx; snd; view; ewd; identified_large;
       opened = false;
       tail_ptr = (Reliable.flow snd).Flow.nseg;
       last_avail = -1;
@@ -231,7 +225,7 @@ let on_lcp_ack t (ai : Reliable.ack_info) =
       (* EWD: receiver sends one ACK per two opportunistic packets, so
          one fresh packet per ACK halves the rate every RTT. Without
          EWD the rate is kept constant by sending two. *)
-      let n = if t.p.ewd then 1 else 2 in
+      let n = if t.ewd then 1 else 2 in
       for _ = 1 to n do ignore (send_one t) done
     end
     (* An ECE-marked low-priority ACK is ignored (§3.2): it still
@@ -250,14 +244,12 @@ let on_more_data t =
 let start t =
   let sim = t.ctx.Context.sim in
   t.last_avail <- Reliable.avail_hi t.snd;
-  (* install hooks on the sender and the DCTCP view *)
+  (* install hooks on the sender and the HCP view *)
   t.snd.Reliable.hook_on_lcp_ack <- (fun _ ai -> on_lcp_ack t ai);
   t.snd.Reliable.hook_more_data <- (fun _ -> on_more_data t);
   t.view.Dctcp.rtt_hook (fun () -> on_rtt_boundary t);
   (* case 1: open at flow start, or at the 2nd RTT for identified-large
      flows so that small flows own the first RTT (§3.1) *)
-  let delay =
-    if t.identified_large && t.p.delay_large_to_2nd_rtt then rtt t else 0
-  in
+  let delay = if t.identified_large then rtt t else 0 in
   ignore (Sim.schedule sim ~after:delay (fun () ->
       if not t.shut then open_loop t ~initial_window:(case1_window t)))

@@ -1,26 +1,19 @@
 (** PPT: the complete pragmatic transport (dual-loop rate control +
-    buffer-aware flow scheduling), and its ablation variants. *)
+    buffer-aware flow scheduling) on DCTCP, Swift or HPCC, and its
+    ablation variants. *)
 
 open Ppt_transport
 
-type params = {
-  iw_segs : int;                  (** DCTCP initial window in segments *)
-  sendbuf : Sendbuf.model;
-  ident : Flow_ident.t;
-  demotion : int array;           (** tagging age-down thresholds *)
-  lcp : bool;                     (** run the low-priority loop *)
-  lcp_ecn : bool;                 (** ECN on opportunistic packets *)
-  ewd : bool;                     (** exponential window decreasing *)
-  scheduling : bool;              (** mirror-symmetric tagging *)
-  identification : bool;          (** buffer-aware identification *)
-  delay_large_to_2nd_rtt : bool;
-}
+val make : unit -> Context.t -> Endpoint.transport
+(** PPT on DCTCP, as the paper designs it. *)
 
-val default_params : params
+val make_swift : unit -> Context.t -> Endpoint.transport
+(** Fig. 14: PPT on a Swift-like delay-based primary loop; a loop opens
+    whenever the measured fabric delay is below the target. *)
 
-val make :
-  ?name:string -> ?params:params -> unit -> Context.t ->
-  Endpoint.transport
+val make_hpcc : unit -> Context.t -> Endpoint.transport
+(** Appendix B: PPT on HPCC; a loop opens whenever the flow's in-flight
+    bytes are below the BDP. The fabric must collect telemetry. *)
 
 val without_lcp_ecn : unit -> Context.t -> Endpoint.transport
 (** Fig. 15 ablation. *)

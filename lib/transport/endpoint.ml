@@ -32,10 +32,10 @@ let detach ctx flow =
    [setup] attaches congestion control (and, for PPT, the LCP loop) to
    the freshly created sender; it returns an extra teardown thunk for
    any timers it created. *)
-let launch_window_flow ctx ~params ~rcv_cfg ~setup flow =
+let launch_window_flow ctx ~params ~lcp_batch ~setup flow =
   let snd = Reliable.create ctx flow params in
-  let rcv = Receiver.create ctx flow rcv_cfg in
-  let teardown_extra = setup snd rcv in
+  let rcv = Receiver.create ctx flow ~lcp_batch in
+  let teardown_extra = setup snd in
   attach ctx flow
     ~on_sender:(fun p ->
         match p.Packet.kind with

@@ -14,30 +14,20 @@
 open Ppt_engine
 open Ppt_netsim
 
-type params = {
-  burst_threshold : int;   (* pace-out size limit (141KB) *)
-  replay_segs : int;       (* how much tail to replay *)
-  iw_segs : int;           (* initial window for large flows *)
-}
+let burst_threshold = 141_000   (* pace-out size limit *)
+let replay_segs = 8             (* how much tail to replay *)
+let iw = 10 * Packet.max_payload   (* initial window for large flows *)
 
-let default_params =
-  { burst_threshold = 141_000; replay_segs = 8; iw_segs = 10 }
-
-let make ?(params = default_params) () ctx =
-  let mss = Packet.max_payload in
+let make () ctx =
   { Endpoint.t_name = "halfback";
     t_start = (fun flow ->
-        let small = flow.Flow.size <= params.burst_threshold in
-        let initial_cwnd =
-          if small then max flow.Flow.size (params.iw_segs * mss)
-          else params.iw_segs * mss
-        in
-        let rel_params =
+        let small = flow.Flow.size <= burst_threshold in
+        let initial_cwnd = if small then max flow.Flow.size iw else iw in
+        let params =
           Reliable.default_params ~initial_cwnd ~ecn_capable:false ()
         in
-        Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
+        Endpoint.launch_window_flow ctx ~params ~lcp_batch:1
+          ~setup:(fun snd ->
               Tcp.attach snd;
               if small then begin
                 (* replay: duplicate the tail right after the burst;
@@ -45,7 +35,7 @@ let make ?(params = default_params) () ctx =
                    tail segment arrives without waiting for an RTO *)
                 let replay () =
                   let nseg = flow.Flow.nseg in
-                  let lo = max 0 (nseg - params.replay_segs) in
+                  let lo = max 0 (nseg - replay_segs) in
                   for seq = nseg - 1 downto lo do
                     if Reliable.seg_state snd seq
                        <> Reliable.st_sacked then

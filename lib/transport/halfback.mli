@@ -1,12 +1,8 @@
 (** Halfback [23]: pace out small flows entirely in the first RTT and
     proactively replay the tail; larger flows fall back to TCP-10. *)
 
-type params = {
-  burst_threshold : int;  (** pace-out size limit (141KB) *)
-  replay_segs : int;
-  iw_segs : int;
-}
+val replay_segs : int
+(** Tail segments a small flow replays after its burst (8). *)
 
-val default_params : params
-
-val make : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory
+(** Halfback with the paper's 141KB pace-out limit. *)

@@ -37,9 +37,8 @@ let make ?(fill_fraction = 1.0) ~mw_table () ctx =
           | None -> float_of_int ctx.Context.bdp
         in
         let target = fill_fraction *. mw in
-        Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
+        Endpoint.launch_window_flow ctx ~params:rel_params ~lcp_batch:1
+          ~setup:(fun snd ->
               let view = Dctcp.attach snd in
               let tail_ptr = ref flow.Flow.nseg in
               let epoch = ref 0 in

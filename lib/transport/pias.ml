@@ -7,40 +7,27 @@
 
 open Ppt_netsim
 
-type params = {
-  iw_segs : int;
-  (* ascending bytes-sent boundaries between the 8 priorities *)
-  demotion : int array;
-}
+(* Ascending bytes-sent boundaries between the 8 priorities, in the
+   spirit of the PIAS paper's web-search tuning: geometric steps
+   through the small-flow range. *)
+let demotion =
+  [| 10_000; 30_000; 100_000; 300_000; 1_000_000; 3_000_000; 10_000_000 |]
 
-(* Default thresholds in the spirit of the PIAS paper's web-search
-   tuning: geometric steps through the small-flow range. *)
-let default_params =
-  { iw_segs = 10;
-    demotion =
-      [| 10_000; 30_000; 100_000; 300_000; 1_000_000; 3_000_000;
-         10_000_000 |] }
-
-let prio_of params ~bytes_sent =
+let prio_of ~bytes_sent =
   let rec count i =
-    if i >= Array.length params.demotion then i
-    else if bytes_sent >= params.demotion.(i) then count (i + 1)
+    if i >= Array.length demotion then i
+    else if bytes_sent >= demotion.(i) then count (i + 1)
     else i
   in
   min (Prio_queue.n_prios - 1) (count 0)
 
-let make ?(params = default_params) () ctx =
-  let mss = Packet.max_payload in
+let make () ctx =
+  let params =
+    Reliable.default_params ~ecn_capable:true
+      ~tagger:(fun ~bytes_sent ~loop:_ -> prio_of ~bytes_sent) ()
+  in
   { Endpoint.t_name = "pias";
     t_start = (fun flow ->
-        let tagger ~bytes_sent ~loop:_ = prio_of params ~bytes_sent in
-        let rel_params =
-          Reliable.default_params ~initial_cwnd:(params.iw_segs * mss)
-            ~ecn_capable:true ~tagger ()
-        in
-        Endpoint.launch_window_flow ctx ~params:rel_params
-          ~rcv_cfg:Receiver.default_config
-          ~setup:(fun snd _rcv ->
-              ignore (Dctcp.attach snd);
-              fun () -> ())
+        Endpoint.launch_window_flow ctx ~params ~lcp_batch:1
+          ~setup:(fun snd -> ignore (Dctcp.attach snd); fun () -> ())
           flow) }

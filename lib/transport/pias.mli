@@ -1,13 +1,10 @@
 (** PIAS [9]: DCTCP rate control with multi-level-feedback priority
     demotion by bytes sent (no a-priori size information). *)
 
-type params = {
-  iw_segs : int;
-  demotion : int array;  (** ascending bytes-sent level boundaries *)
-}
+val prio_of : bytes_sent:int -> int
+(** The priority of a flow that has sent [bytes_sent] bytes: P0 below
+    10KB, one level lower per crossed threshold (30KB, 100KB, 300KB,
+    1MB, 3MB, 10MB). *)
 
-val default_params : params
-
-val prio_of : params -> bytes_sent:int -> int
-
-val make : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory
+(** PIAS (initial window 10 segments) as a complete transport. *)

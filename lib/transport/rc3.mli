@@ -2,15 +2,11 @@
     transmission of the whole remaining flow from the tail, in
     exponentially growing priority tiers. *)
 
-type params = {
-  iw_segs : int;
-  sendbuf_bytes : int;       (** the recommended 2GB by default *)
-  level_counts : int array;  (** packets per low-priority level *)
-}
+val lp_prio : int -> int
+(** Priority of the [n]-th low-priority packet counted from the tail:
+    P4 for the last 40 packets, P5 for the next 40^2, P6 for the next
+    40^3, P7 beyond. *)
 
-val default_params : params
-
-val lp_prio : params -> int -> int
-(** Priority of the [n]-th low-priority packet counted from the tail. *)
-
-val make : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory
+(** RC3 with the recommended 2GB send buffer (initial window 10
+    segments). *)

@@ -53,17 +53,15 @@ type params = {
   initial_cwnd : int;                   (* bytes *)
   ecn_capable : bool;
   lcp_ecn_capable : bool;               (* ECN on low-priority-loop data *)
-  cwnd_cap : float;                     (* bytes *)
   sendbuf_bytes : int;                  (* send-buffer capacity *)
   tagger : bytes_sent:int -> loop:Packet.loop -> int;
 }
 
 let default_params ?(initial_cwnd = 10 * Packet.max_payload)
-    ?(ecn_capable = true) ?(lcp_ecn_capable = true) ?(cwnd_cap = infinity)
+    ?(ecn_capable = true) ?(lcp_ecn_capable = true)
     ?(sendbuf_bytes = max_int) ?(tagger = fun ~bytes_sent:_ ~loop:_ -> 0)
     () =
-  { initial_cwnd; ecn_capable; lcp_ecn_capable; cwnd_cap; sendbuf_bytes;
-    tagger }
+  { initial_cwnd; ecn_capable; lcp_ecn_capable; sendbuf_bytes; tagger }
 
 type t = {
   ctx : Context.t;
@@ -107,7 +105,7 @@ let cwnd t = t.cwnd
 (* Every congestion-control policy funnels window changes through
    here, so this one site gives traces the full cwnd trajectory. *)
 let set_cwnd t w =
-  t.cwnd <- Float.min t.p.cwnd_cap (Float.max (float_of_int t.mss) w);
+  t.cwnd <- Float.max (float_of_int t.mss) w;
   if !Ppt_obs.Trace.enabled then
     Ppt_obs.Trace.emit (Sim.now t.ctx.Context.sim)
       (Ppt_obs.Event.Cwnd_update

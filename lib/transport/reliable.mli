@@ -40,14 +40,13 @@ type params = {
   initial_cwnd : int;
   ecn_capable : bool;
   lcp_ecn_capable : bool;
-  cwnd_cap : float;
   sendbuf_bytes : int;
   tagger : bytes_sent:int -> loop:Packet.loop -> int;
 }
 
 val default_params :
   ?initial_cwnd:int -> ?ecn_capable:bool -> ?lcp_ecn_capable:bool ->
-  ?cwnd_cap:float -> ?sendbuf_bytes:int ->
+  ?sendbuf_bytes:int ->
   ?tagger:(bytes_sent:int -> loop:Packet.loop -> int) -> unit -> params
 (** IW 10 segments, ECN on, unlimited send buffer, priority 0. *)
 
@@ -96,7 +95,7 @@ val start : t -> unit
 
 val cwnd : t -> float
 val set_cwnd : t -> float -> unit
-(** Clamped to [mss, cwnd_cap]. *)
+(** Floored at one segment. *)
 
 val mss : t -> int
 val snd_nxt : t -> int

@@ -1,23 +1,11 @@
 (** Delay-based congestion control, conceptually equivalent to
     Swift [21] (fabric delay only, as in the paper's Fig. 14 variant). *)
 
-open Ppt_engine
+val attach : Context.t -> Reliable.t -> unit -> bool
+(** Install the delay-based policy on a sender. The returned predicate
+    holds while the last measured fabric delay is below the target
+    (1.5 x base RTT): the spare-bandwidth signal PPT's LCP rides on. *)
 
-type params = {
-  iw_segs : int;
-  target_factor : float;   (** target delay as a multiple of base RTT *)
-  ai_segs : float;
-  beta : float;
-  max_mdf : float;
-}
-
-val default_params : params
-
-type view = {
-  delay_below_target : unit -> bool;
-  target : Units.time;
-  rtt_hook : (unit -> unit) -> unit;
-}
-
-val attach : ?params:params -> Context.t -> Reliable.t -> view
-val make : ?params:params -> unit -> Endpoint.factory
+val make : unit -> Endpoint.factory
+(** Swift-like delay control (initial window 10 segments, no ECN) as a
+    complete transport. *)

@@ -349,10 +349,7 @@ let test_rto_backoff_blackout () =
   install topo ~seed:1 (ok (F.of_string "down@30us-300ms:host:0"));
   let flow = Flow.create ~id:7 ~src:0 ~dst:1 ~size:200_000 ~start:0 in
   let snd = Reliable.create ctx flow (Reliable.default_params ()) in
-  let rcv =
-    Receiver.create ctx flow
-      { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-  in
+  let rcv = Receiver.create ctx flow ~lcp_batch:2 in
   let done_ = ref false in
   Net.register ctx.Context.net ~host:1 ~flow:7 (fun p ->
       Receiver.on_data rcv p);
@@ -395,10 +392,7 @@ let test_rto_timer_cancelled_clean () =
   let sim, _topo, ctx = star () in
   let flow = Flow.create ~id:3 ~src:0 ~dst:1 ~size:60_000 ~start:0 in
   let snd = Reliable.create ctx flow (Reliable.default_params ()) in
-  let rcv =
-    Receiver.create ctx flow
-      { Receiver.ack_prio = 0; lcp_batch = 2; lcp_ack_prio = `Echo }
-  in
+  let rcv = Receiver.create ctx flow ~lcp_batch:2 in
   Net.register ctx.Context.net ~host:1 ~flow:3 (fun p ->
       Receiver.on_data rcv p);
   Net.register ctx.Context.net ~host:0 ~flow:3 (fun p ->

@@ -95,9 +95,8 @@ let test_dctcp_view () =
     { Endpoint.t_name = "dctcp-probe";
       t_start = (fun flow ->
           let params = Reliable.default_params () in
-          Endpoint.launch_window_flow ctx ~params
-            ~rcv_cfg:Receiver.default_config
-            ~setup:(fun snd _rcv ->
+          Endpoint.launch_window_flow ctx ~params ~lcp_batch:1
+            ~setup:(fun snd ->
                 let view = Dctcp.attach snd in
                 fun () -> seen_alpha := view.Dctcp.alpha ())
             flow) }
@@ -252,8 +251,7 @@ let test_halfback_replay_small_flow () =
     (r.Ppt_stats.Fct.lcp_payload > 0);
   check Alcotest.bool "replay bounded by replay_segs" true
     (r.Ppt_stats.Fct.lcp_payload
-     <= Halfback.default_params.Halfback.replay_segs
-        * Ppt_netsim.Packet.max_payload)
+     <= Halfback.replay_segs * Ppt_netsim.Packet.max_payload)
 
 let test_halfback_large_flow_plain () =
   let _sim, _topo, ctx = Helpers.star () in
