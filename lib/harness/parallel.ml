@@ -8,13 +8,16 @@
    which makes the merged output byte-identical to a serial
    [Figures.render] of the same experiments — whatever [jobs] is. *)
 
-(* GC activity of one shard, measured inside the worker process (a
-   fresh fork per shard, so [g_top_heap_words] really is that shard's
-   peak heap, not an artifact of earlier work). *)
+(* GC activity of one shard, measured inside the worker process that
+   ran it. The word counts are deltas over the shard. A worker serves
+   many shards in turn (and at [jobs = 1] every shard runs in the one
+   sweeping process), so [g_top_heap_words] is that process's peak heap
+   so far: it never falls across the shards the process ran, and it is
+   not the shard's own peak. *)
 type gc_info = {
   g_minor_words : float;    (* words allocated on the minor heap *)
   g_major_words : float;    (* words allocated on/promoted to the major *)
-  g_top_heap_words : int;   (* worker-process peak heap, in words *)
+  g_top_heap_words : int;   (* the process's peak heap so far, in words *)
 }
 
 type shard_info = {
